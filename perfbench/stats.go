@@ -1,0 +1,33 @@
+package main
+
+import (
+	"math"
+	"sort"
+	"time"
+)
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// the closest ranks (0 for an empty sample). xs is not modified.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func maxOf(xs []float64) float64 {
+	m := 0.0
+	for _, x := range xs {
+		m = math.Max(m, x)
+	}
+	return m
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
