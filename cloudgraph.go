@@ -49,7 +49,6 @@ import (
 	"cloudgraph/internal/model"
 	"cloudgraph/internal/policy"
 	"cloudgraph/internal/segment"
-	"cloudgraph/internal/store"
 	"cloudgraph/internal/summarize"
 )
 
@@ -277,19 +276,3 @@ func Attribute(g *Graph) Attribution { return model.Attribute(g) }
 
 // ParseAzureNSG ingests a real Azure NSG flow log (version 2) export.
 func ParseAzureNSG(r io.Reader) ([]Record, error) { return flowlog.ParseAzureNSG(r) }
-
-// Window store: durable history for "what happened during that event?".
-
-// OpenStore loads every window graph from a store file.
-func OpenStore(path string) ([]*Graph, error) { return store.Open(path) }
-
-// StoreRange loads the windows overlapping [from, to) from a store file.
-func StoreRange(path string, from, to time.Time) ([]*Graph, error) {
-	return store.Range(path, from, to)
-}
-
-// StoreWriter appends window graphs to a store file.
-type StoreWriter = store.Writer
-
-// CreateStore opens (or creates) a window store for appending.
-func CreateStore(path string) (*StoreWriter, error) { return store.Create(path) }

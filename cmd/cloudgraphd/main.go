@@ -35,16 +35,17 @@
 // tenant under <data-dir>/<tenant>/, replayed on restart to rebuild each
 // tenant's timeline and runners (epochs keep ascending across the
 // crash), compacted into hour roll-ups past -history-retention, and
-// served by QUERY — by epoch or RFC3339 time — long after the in-memory
-// retention has moved on.
+// served by QUERY — by epoch or RFC3339 time, e.g. `graphctl query
+// segment 2024-03-01T08:00:00Z` — long after the in-memory retention has
+// moved on.
 //
 // A second HTTP listener (-ops, default 127.0.0.1:9443) serves operational
 // views of the running daemon: Prometheus metrics on /metrics, liveness on
-// /healthz, profiling on /debug/pprof/, the latest window's adjacency
-// heatmap on /graphz, sampled record traces on /tracez, the flight
-// recorder on /flightz, per-tenant planes on /tenantz and the analysis
-// plane on /analyz. SIGQUIT dumps the flight ring to stderr without
-// stopping the daemon.
+// /healthz, profiling on /debug/pprof/, the default tenant's latest
+// window as an adjacency heatmap on /graphz, sampled record traces on
+// /tracez, the flight recorder on /flightz, per-tenant planes on /tenantz
+// and the analysis plane on /analyz. SIGQUIT dumps the flight ring to
+// stderr without stopping the daemon.
 package main
 
 import (
@@ -70,7 +71,6 @@ import (
 	"cloudgraph/internal/histstore"
 	"cloudgraph/internal/realm"
 	"cloudgraph/internal/statusz"
-	"cloudgraph/internal/store"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/timeline"
 	"cloudgraph/internal/trace"
@@ -131,7 +131,6 @@ func main() {
 		facet       = flag.String("facet", "ip", "graph facet: ip or ip-port")
 		maxWin      = flag.Int("max-windows", 48, "retained window history per tenant (0 = unlimited)")
 		workers     = flag.Int("workers", runtime.NumCPU(), "ingest shards: concurrent connections fold records in parallel, one flow-key shard per worker")
-		storeTo     = flag.String("store", "", "append the default tenant's completed windows to this store file (graphctl history reads it)")
 		opsAddr     = flag.String("ops", "127.0.0.1:9443", "ops HTTP address serving /metrics, /healthz, /debug/pprof/, /graphz, /tracez, /flightz and /tenantz (empty disables)")
 		traceSample = flag.Int("trace-sample", 0, "trace one in N ingested records end to end (0 disables span sampling)")
 		flightN     = flag.Int("flight-events", trace.DefaultFlightEvents, "flight recorder ring capacity (events and spans retained for /flightz and crash dumps)")
@@ -221,31 +220,6 @@ func main() {
 	if *dataDir != "" {
 		rcfg.CompactEvery = time.Minute
 	}
-	if *storeTo != "" {
-		w, err := store.Create(*storeTo)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-		w.Instrument(reg)
-		w.Trace(tr)
-		// The flat store file has no tenant column, so the legacy hook
-		// follows the legacy plane: the default tenant's windows only.
-		rcfg.OnWindow = func(tenant string, g *graph.Graph) {
-			if tenant != realm.DefaultTenant {
-				return
-			}
-			if err := w.Append(g); err != nil {
-				log.Printf("store append: %v", err)
-				return
-			}
-			if err := w.Sync(); err != nil {
-				log.Printf("store sync: %v", err)
-			}
-		}
-		log.Printf("persisting windows to %s", *storeTo)
-	}
-
 	m, err := realm.NewManager(rcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -262,6 +236,9 @@ func main() {
 	}
 
 	if *dataDir != "" {
+		// Like the watermark series above, the unlabeled
+		// cloudgraph_histstore_* series track the default tenant's store.
+		def.Hist().Instrument(reg)
 		realms := m.Realms()
 		recovered := 0
 		for _, r := range realms {
@@ -348,7 +325,7 @@ func main() {
 		defer ops.Close()
 		// HandleView wraps each view in the shared GET/HEAD-or-405 contract;
 		// only /debug/pprof/ stays outside it (pprof.Symbol accepts POST).
-		ops.HandleView("/graphz", analytics.GraphzHandler(srv.Engine()))
+		ops.HandleView("/graphz", analytics.GraphzHandler(def.Engine()))
 		ops.HandleView("/tracez", trace.TracezHandler(tr.Recorder()))
 		ops.HandleView("/flightz", trace.FlightzHandler(tr.Flight()))
 		ops.HandleView("/statusz", statusz.Handler(sources))

@@ -13,13 +13,15 @@
 //	graphctl dot        file.flows
 //	graphctl plan       [-capacity 2e9] file.flows
 //	graphctl send       -addr host:port [-tenant name] file.flows
-//	graphctl query      [-addr host:port] [-tenant name] <analysis> [<epoch>|latest]
+//	graphctl query      [-addr host:port] [-tenant name] <analysis> [<epoch>|<rfc3339-time>|latest]
 //	graphctl diff       old.flows new.flows
 //	graphctl windows    [-window 1h] file.flows
 //	graphctl attribution file.flows
-//	graphctl archive    [-window 1h] -store windows.cg file.flows
-//	graphctl history    [-from t] [-to t] windows.cg
 //	graphctl top        [-ops host:port] [-interval 2s]
+//
+// History: windows prints per-window stats and drift scores for a flow
+// file; a running daemon's durable history (cloudgraphd -data-dir) is
+// read by query, pinned to an epoch or an RFC3339 time.
 //
 // Files may be binary (flowgen default), CSV (.csv suffix), Azure NSG
 // flow log v2 exports (.json suffix), or tagged multi-tenant captures
@@ -50,7 +52,6 @@ import (
 	"cloudgraph/internal/model"
 	"cloudgraph/internal/policy"
 	"cloudgraph/internal/segment"
-	"cloudgraph/internal/store"
 	"cloudgraph/internal/summarize"
 )
 
@@ -90,10 +91,6 @@ func main() {
 		cmdWindows(args)
 	case "attribution":
 		cmdAttribution(args)
-	case "archive":
-		cmdArchive(args)
-	case "history":
-		cmdHistory(args)
 	case "top":
 		cmdTop(args)
 	default:
@@ -102,7 +99,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: graphctl {stats|segment|policy|summarize|heatmap|ccdf|pca|dot|plan|send|query|diff|windows|attribution|archive|history|top} [flags] <file>")
+	fmt.Fprintln(os.Stderr, "usage: graphctl {stats|segment|policy|summarize|heatmap|ccdf|pca|dot|plan|send|query|diff|windows|attribution|top} [flags] <file>")
 	os.Exit(2)
 }
 
@@ -548,57 +545,4 @@ func cmdAttribution(args []string) {
 	fmt.Printf("  hub and spoke      %5.1f%%\n", 100*a.HubShare)
 	fmt.Printf("  long-tail remotes  %5.1f%%\n", 100*a.CollapsedShare)
 	fmt.Printf("  scatter            %5.1f%%\n", 100*a.ScatterShare)
-}
-
-func cmdArchive(args []string) {
-	fs := flag.NewFlagSet("archive", flag.ExitOnError)
-	window := fs.Duration("window", time.Hour, "window size")
-	out := fs.String("store", "windows.cg", "store file to append to")
-	file := parseArgs(fs, args)
-	recs := readRecords(file)
-	w := core.NewWindower(*window, graph.BuilderOptions{})
-	for _, r := range recs {
-		w.Add(r)
-	}
-	sw, err := store.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, g := range w.Flush() {
-		if err := sw.Append(g); err != nil {
-			log.Fatal(err)
-		}
-	}
-	n := sw.Count()
-	if err := sw.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "archived %d window(s) to %s\n", n, *out)
-}
-
-func cmdHistory(args []string) {
-	fs := flag.NewFlagSet("history", flag.ExitOnError)
-	from := fs.Int64("from", 0, "unix start of the range (0 = beginning)")
-	to := fs.Int64("to", 1<<62, "unix end of the range")
-	file := parseArgs(fs, args)
-	gs, err := store.Range(file, time.Unix(*from, 0).UTC(), time.Unix(*to, 0).UTC())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(gs) == 0 {
-		log.Fatal("no windows in range")
-	}
-	scores := summarize.ScoreWindows(gs, summarize.AnomalyOptions{})
-	fmt.Println("window start            nodes  edges      bytes    drift  anomalous")
-	for i, g := range gs {
-		st := g.ComputeStats()
-		fmt.Printf("%-22s %6d %6d %10d   %.4f  %v\n",
-			g.Start.UTC().Format("2006-01-02T15:04Z"), st.Nodes, st.Edges, st.Bytes,
-			scores[i].Drift, scores[i].Anomalous)
-	}
-	if len(gs) >= 2 {
-		d := graph.Diff(gs[0], gs[len(gs)-1])
-		fmt.Printf("first->last: drift %.4f, pairs +%d -%d, nodes +%d -%d\n",
-			d.ByteChange, len(d.AddedPairs), len(d.RemovedPairs), len(d.AddedNodes), len(d.RemovedNodes))
-	}
 }

@@ -12,13 +12,20 @@ import (
 	"cloudgraph"
 	"cloudgraph/internal/analytics"
 	"cloudgraph/internal/core"
+	"cloudgraph/internal/realm"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	// Start the service on an ephemeral port.
-	srv, err := analytics.Serve("127.0.0.1:0", core.Config{Window: time.Hour})
+	// Start the service on an ephemeral port, over a realm manager that
+	// serves the default tenant (the daemon's layout, without -live).
+	m, err := realm.NewManager(realm.Config{Engine: core.Config{Window: time.Hour}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer m.Close()
+	srv, err := analytics.ServeRealms("127.0.0.1:0", m, nil, analytics.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,17 +12,36 @@ import (
 	"cloudgraph/internal/cluster"
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
+	"cloudgraph/internal/realm"
 )
 
 var t0 = time.Unix(1700000000, 0).UTC().Truncate(time.Hour)
 
+// serve starts a server over a realm manager built from cfg — one
+// tenant, the default, unless a test admits more — with the endpoint
+// metrics in cfg.Telemetry, and tears both down at cleanup.
+func serve(t *testing.T, cfg realm.Config, opts Options) (*Server, *realm.Manager) {
+	t.Helper()
+	m, err := realm.NewManager(cfg)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	s, err := ServeRealms("127.0.0.1:0", m, cfg.Telemetry, opts)
+	if err != nil {
+		m.Close()
+		t.Fatalf("ServeRealms: %v", err)
+	}
+	t.Cleanup(func() {
+		s.Close()
+		m.Close()
+	})
+	return s, m
+}
+
+// testServer starts a server with hour windows and no analysis plane.
 func testServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}}, Options{})
 	return s
 }
 
@@ -301,11 +320,7 @@ func TestServerConcurrentMixedCommands(t *testing.T) {
 	// Several clients hammer one sharded server with the full command mix
 	// concurrently (run with -race): every response must stay coherent
 	// and no records may be lost.
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour, Shards: 4}}, Options{})
 
 	const clients = 6
 	const flows = 200

@@ -114,8 +114,7 @@ func (c *Client) IngestTraced(recs []flowlog.Record, tcs []trace.Context) error 
 
 // Tenant switches the connection's session tenant: every later command
 // reads and ingests that tenant's pipeline plane. The server admits the
-// realm on first use; invalid names, the tenant cap, or a single-engine
-// server (for any tenant but the default) answer ERR.
+// realm on first use; invalid names or the tenant cap answer ERR.
 func (c *Client) Tenant(name string) error {
 	if strings.ContainsAny(name, " \t\r\n") || name == "" {
 		return fmt.Errorf("bad tenant %q", name)

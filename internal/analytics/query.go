@@ -84,7 +84,8 @@ type QueryResult struct {
 }
 
 func cmdQuery(fields []string, ses *session) (any, error) {
-	if ses.plane == nil {
+	plane := ses.realm.Plane()
+	if plane == nil {
 		return nil, errors.New("no analysis plane attached (start cloudgraphd with -live)")
 	}
 	name, sel, err := parseQuery(fields)
@@ -93,13 +94,13 @@ func cmdQuery(fields []string, ses *session) (any, error) {
 	}
 	epoch := sel.epoch
 	if !sel.at.IsZero() {
-		ep, ok := ses.plane.ResolveTime(sel.at)
+		ep, ok := plane.ResolveTime(sel.at)
 		if !ok {
 			return nil, fmt.Errorf("no window covers %s (in memory or on disk)", sel.at.Format(time.RFC3339))
 		}
 		epoch = ep
 	}
-	at, res, err := ses.plane.Query(name, epoch)
+	at, res, err := plane.Query(name, epoch)
 	if err != nil {
 		return nil, err
 	}

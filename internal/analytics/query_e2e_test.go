@@ -7,28 +7,22 @@ import (
 	"time"
 
 	"cloudgraph/internal/core"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/runner"
 	"cloudgraph/internal/timeline"
 )
 
-// liveServer starts a server with the analysis plane attached the way
-// cloudgraphd -live does: plane consumers on the engine bus, plane handle
-// in Options.
+// liveServer starts a server with the analysis plane on, the way
+// cloudgraphd -live runs it: the default tenant's plane consumes its
+// engine's bus and answers QUERY.
 func liveServer(t *testing.T, window time.Duration) (*Server, *runner.Plane) {
 	t.Helper()
-	plane := runner.New(runner.Config{
+	s, m := serve(t, realm.Config{
+		Engine:   core.Config{Window: window, Shards: 4},
+		Live:     true,
 		Timeline: timeline.Config{Rollup: time.Hour},
-	})
-	s, err := ServeWith("127.0.0.1:0", core.Config{
-		Window:    window,
-		Shards:    4,
-		Consumers: plane.Consumers(),
-	}, Options{Plane: plane})
-	if err != nil {
-		t.Fatalf("ServeWith: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s, plane
+	}, Options{})
+	return s, m.Default().Plane()
 }
 
 // TestQueryEndToEnd exercises the full live path over TCP: ingest a

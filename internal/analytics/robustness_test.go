@@ -9,17 +9,14 @@ import (
 	"time"
 
 	"cloudgraph/internal/core"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/telemetry"
 )
 
 func TestServerStalledConnTimesOut(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, err := ServeWith("127.0.0.1:0", core.Config{Window: time.Hour, Telemetry: reg},
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Telemetry: reg},
 		Options{IdleTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -58,10 +55,7 @@ func TestServerCloseUnblocksStalledConn(t *testing.T) {
 	// leave no handler goroutines behind.
 	before := runtime.NumGoroutine()
 
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}}, Options{})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +75,9 @@ func TestServerCloseUnblocksStalledConn(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close blocked on a stalled connection")
 	}
+	// The manager owns the engine's bus goroutines; stop them too so only
+	// a leaked handler could keep the count up.
+	m.Close()
 
 	// All accept/handler goroutines must be gone once Close returns.
 	deadline := time.Now().Add(5 * time.Second)

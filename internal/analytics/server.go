@@ -20,15 +20,13 @@
 //	TENANT <name>                                      -> OK <name>
 //	QUIT                                               -> connection closes
 //
-// QUERY reads the online analysis plane (Options.Plane); without a plane
-// attached it answers ERR.
-//
-// A server started with ServeRealms serves one pipeline plane per tenant
-// (see internal/realm): TENANT switches the connection's session tenant
-// — every later command reads and ingests that tenant's plane — and
-// tagged frames (wire.go) route records per frame regardless of the
-// session tenant. A single-engine server accepts TENANT only for the
-// default tenant, so tools probing for multi-tenancy get a clean ERR.
+// The server runs over a realm manager and serves one pipeline plane per
+// tenant (see internal/realm). A connection starts on the default tenant;
+// TENANT switches its session tenant — every later command reads and
+// ingests that tenant's plane — and tagged frames (wire.go) route records
+// per frame regardless of the session tenant. QUERY reads the session
+// tenant's online analysis plane; a manager running without Live answers
+// it with ERR.
 package analytics
 
 import (
@@ -49,7 +47,6 @@ import (
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/model"
 	"cloudgraph/internal/realm"
-	"cloudgraph/internal/runner"
 	"cloudgraph/internal/summarize"
 	"cloudgraph/internal/telemetry"
 	"cloudgraph/internal/trace"
@@ -63,11 +60,6 @@ type Options struct {
 	// WriteTimeout bounds writing one response to a peer that has stopped
 	// reading. Zero means 1 minute.
 	WriteTimeout time.Duration
-	// Plane, when set, answers QUERY commands with online analysis
-	// results. The caller owns wiring the plane's consumers onto the
-	// engine bus (core.Config.Consumers = plane.Consumers()); the server
-	// only reads from it.
-	Plane *runner.Plane
 }
 
 func (o Options) withDefaults() Options {
@@ -108,16 +100,11 @@ func (m *serverMetrics) instrument(reg *telemetry.Registry) {
 
 // Server is a running analytics service.
 type Server struct {
-	engine *core.Engine
-	plane  *runner.Plane
-	realms *realm.Manager // nil on a single-engine server
-	// ownEngine marks the single-engine mode, where Close tears the
-	// engine down; a realm manager owns its engines itself.
-	ownEngine bool
-	ln        net.Listener
-	opts      Options
-	tel       serverMetrics
-	wg        sync.WaitGroup
+	realms *realm.Manager
+	ln     net.Listener
+	opts   Options
+	tel    serverMetrics
+	wg     sync.WaitGroup
 
 	// mu guards closed and conns. Tracking live connections lets Close
 	// tear down stalled peers instead of waiting out their deadlines.
@@ -126,47 +113,17 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// Serve starts a server on addr (e.g. "127.0.0.1:0") backed by a fresh
-// engine with the given config, using default Options.
-func Serve(addr string, cfg core.Config) (*Server, error) {
-	return ServeWith(addr, cfg, Options{})
-}
-
-// ServeWith is Serve with explicit robustness options. The server's
-// endpoint metrics register in cfg.Telemetry alongside the engine's.
-func ServeWith(addr string, cfg core.Config, opts Options) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{
-		engine:    core.NewEngine(cfg),
-		plane:     opts.Plane,
-		ownEngine: true,
-		ln:        ln,
-		opts:      opts.withDefaults(),
-		conns:     make(map[net.Conn]struct{}),
-	}
-	s.tel.instrument(cfg.Telemetry)
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
 // ServeRealms starts a multi-tenant server over a realm manager. The
-// manager owns every engine and plane (the server's Engine and default
-// command routing resolve to the default tenant's realm); Close stops
-// the listener and handlers but leaves the manager to its owner. The
-// endpoint metrics register in reg (nil disables them).
+// manager owns every engine and plane (untagged commands resolve to the
+// default tenant's realm); Close stops the listener and handlers but
+// leaves the manager to its owner. The endpoint metrics register in reg
+// (nil disables them).
 func ServeRealms(addr string, m *realm.Manager, reg *telemetry.Registry, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	def := m.Default()
 	s := &Server{
-		engine: def.Engine(),
-		plane:  def.Plane(),
 		realms: m,
 		ln:     ln,
 		opts:   opts.withDefaults(),
@@ -180,9 +137,6 @@ func ServeRealms(addr string, m *realm.Manager, reg *telemetry.Registry, opts Op
 
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Engine exposes the underlying engine (e.g. for in-process inspection).
-func (s *Server) Engine() *core.Engine { return s.engine }
 
 // Close stops accepting, force-closes live connections (a stalled peer
 // must not pin shutdown until its deadline fires) and waits for the
@@ -201,9 +155,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	if s.ownEngine {
-		s.engine.Close() // stop the consumer-bus goroutines after the last handler exits
-	}
 	return err
 }
 
@@ -248,56 +199,26 @@ func (s *Server) dropConn(conn net.Conn) {
 // than a JSON document.
 type textResponse string
 
-// session is one connection's tenant binding: the engine and plane every
-// command on this connection reads and writes. A single-engine server
-// pins it to the server's engine; under a realm manager the TENANT
-// command rebinds it, and per-frame tenant tags override it record by
-// record on the ingest path.
+// session is one connection's tenant binding: the realm every command on
+// this connection reads and writes. The TENANT command rebinds it, and
+// per-frame tenant tags override it record by record on the ingest path.
 type session struct {
 	tenant string
-	engine *core.Engine
-	plane  *runner.Plane
-	realm  *realm.Realm // nil on a single-engine server
+	realm  *realm.Realm
 }
 
 // cmdTenant rebinds the connection's session tenant, admitting the realm
-// if needed. The single-engine server accepts only the default tenant so
-// a probing client gets a clean ERR rather than silently shared state.
+// if needed.
 func (s *Server) cmdTenant(fields []string, ses *session) (any, error) {
 	if len(fields) != 2 {
 		return nil, errors.New("usage: TENANT <name>")
 	}
-	name := fields[1]
-	if s.realms == nil {
-		if name != realm.DefaultTenant {
-			return nil, errors.New("multi-tenant mode disabled (single-engine server)")
-		}
-		return textResponse("OK " + name), nil
-	}
-	r, err := s.realms.Realm(name)
+	r, err := s.realms.Realm(fields[1])
 	if err != nil {
 		return nil, err
 	}
-	ses.tenant = name
-	ses.realm = r
-	ses.engine = r.Engine()
-	ses.plane = r.Plane()
-	return textResponse("OK " + name), nil
-}
-
-// flush drains the session tenant's pipeline: close open windows, drain
-// its bus, seal the roll-up bucket.
-func (ses *session) flush() int {
-	if ses.realm != nil {
-		return ses.realm.Flush()
-	}
-	n := len(ses.engine.Flush())
-	if ses.plane != nil {
-		// Flush drained the bus, so the timeline has every window;
-		// seal the in-progress roll-up bucket to make it queryable.
-		ses.plane.Seal()
-	}
-	return n
+	ses.tenant, ses.realm = fields[1], r
+	return textResponse("OK " + fields[1]), nil
 }
 
 // handle runs the command loop for one connection. Handlers compute a
@@ -308,10 +229,7 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 256<<10)
 	w := bufio.NewWriter(conn)
 	sc := new(connScratch)
-	ses := &session{tenant: realm.DefaultTenant, engine: s.engine, plane: s.plane}
-	if s.realms != nil {
-		ses.realm = s.realms.Default()
-	}
+	ses := &session{tenant: realm.DefaultTenant, realm: s.realms.Default()}
 	for {
 		// The read deadline is absolute, so it also bounds the binary
 		// batch an INGEST command goes on to read: a peer that stalls
@@ -339,21 +257,21 @@ func (s *Server) handle(conn net.Conn) {
 		case "INGEST":
 			out, cmdErr = s.cmdIngest(fields, r, sc, ses)
 		case "FLUSH":
-			out = textResponse(fmt.Sprintf("OK %d", ses.flush()))
+			out = textResponse(fmt.Sprintf("OK %d", ses.realm.Flush()))
 		case "STATS":
-			out = s.stats(ses)
+			out = stats(ses.realm.Engine())
 		case "WINDOWS":
-			out = windows(ses)
+			out = windows(ses.realm.Engine())
 		case "LEARN":
-			out, cmdErr = cmdLearn(ses)
+			out, cmdErr = cmdLearn(ses.realm.Engine())
 		case "SEGMENTS":
-			out, cmdErr = cmdSegments(ses)
+			out, cmdErr = cmdSegments(ses.realm.Engine())
 		case "MONITOR":
-			out, cmdErr = cmdMonitor(ses)
+			out, cmdErr = cmdMonitor(ses.realm.Engine())
 		case "SUMMARY":
-			out, cmdErr = cmdSummary(ses)
+			out, cmdErr = cmdSummary(ses.realm.Engine())
 		case "ANOMALIES":
-			out = cmdAnomalies(ses)
+			out = cmdAnomalies(ses.realm.Engine())
 		case "QUERY":
 			out, cmdErr = cmdQuery(fields, ses)
 		case "TENANT":
@@ -363,7 +281,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if cmdErr != nil {
 			s.tel.protoErrs.Add(1)
-			if tr := s.engine.Tracer(); tr != nil {
+			if tr := ses.realm.Engine().Tracer(); tr != nil {
 				tr.Eventf(trace.Context{}, "analytics", slog.LevelWarn, "protocol error: %v", cmdErr)
 				tr.Trip("analytics", "protocol error: "+cmdErr.Error())
 			}
@@ -459,7 +377,7 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 		return nil, errors.New("bad count")
 	}
 	if !traced {
-		tr := ses.engine.Tracer()
+		tr := ses.realm.Engine().Tracer()
 		var start time.Time
 		if tr != nil {
 			start = time.Now()
@@ -489,7 +407,7 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 				tr.Record(c, "wire.ingest", start, d, note)
 			}
 		}
-		ses.ingest(batch, tcs)
+		ses.realm.IngestTraced(batch, tcs)
 		s.tel.frames.Add(int64(n))
 		return textResponse(fmt.Sprintf("OK %d", n)), nil
 	}
@@ -498,7 +416,7 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 	if err != nil {
 		return nil, err
 	}
-	if tr := ses.engine.Tracer(); tr != nil {
+	if tr := ses.realm.Engine().Tracer(); tr != nil {
 		// The "wire.ingest" hop: the sampled record crossed the protocol
 		// and decoded server-side.
 		d := time.Since(start)
@@ -514,18 +432,6 @@ func (s *Server) cmdIngest(fields []string, r *bufio.Reader, sc *connScratch, se
 	}
 	s.tel.frames.Add(int64(n))
 	return textResponse(fmt.Sprintf("OK %d", n)), nil
-}
-
-// ingest folds an untagged batch into the session tenant's engine,
-// through the weighted-fair scheduler when realms are on.
-//
-//vet:borrowed batch tcs
-func (ses *session) ingest(batch []flowlog.Record, tcs []trace.Context) {
-	if ses.realm != nil {
-		ses.realm.IngestTraced(batch, tcs)
-		return
-	}
-	ses.engine.IngestTraced(batch, tcs)
 }
 
 // ingestTagged routes a flagged batch by per-frame tenant tag (""
@@ -557,22 +463,16 @@ func (s *Server) ingestTagged(ses *session, sc *connScratch, batch []flowlog.Rec
 		}
 	}
 	if !mixed {
-		target := ses
+		target := ses.realm
 		if first != ses.tenant {
-			if s.realms == nil {
-				return fmt.Errorf("tenant tag %q: multi-tenant mode disabled", first)
-			}
 			r, err := s.realms.Realm(first)
 			if err != nil {
 				return err
 			}
-			target = &session{tenant: first, engine: r.Engine(), plane: r.Plane(), realm: r}
+			target = r
 		}
-		target.ingest(batch, tcs)
+		target.IngestTraced(batch, tcs)
 		return nil
-	}
-	if s.realms == nil {
-		return errors.New("tenant tags: multi-tenant mode disabled")
 	}
 	// Mixed batch: resolve every realm first (all-or-nothing), then
 	// regroup per tenant preserving each tenant's record order.
@@ -685,8 +585,8 @@ type ShardInfo struct {
 	Depth   int     `json:"depth"`
 }
 
-func (s *Server) stats(ses *session) Stats {
-	cost := ses.engine.Cost()
+func stats(e *core.Engine) Stats {
+	cost := e.Cost()
 	st := Stats{
 		Records:       cost.Records,
 		RecordsPerSec: cost.RecordsPerSec,
@@ -700,10 +600,10 @@ func (s *Server) stats(ses *session) Stats {
 			Depth:   sh.Depth,
 		})
 	}
-	ws := ses.engine.Windows()
+	ws := e.Windows()
 	st.Windows = len(ws)
 	if len(ws) > 0 {
-		sum := ses.engine.Summary()
+		sum := e.Summary()
 		st.Nodes = sum.Stats.Nodes
 		st.Edges = sum.Stats.Edges
 		st.Headline = sum.Headline
@@ -722,8 +622,8 @@ type WindowInfo struct {
 	Bytes uint64 `json:"bytes"`
 }
 
-func windows(ses *session) []WindowInfo {
-	ws := ses.engine.Windows()
+func windows(e *core.Engine) []WindowInfo {
+	ws := e.Windows()
 	out := make([]WindowInfo, 0, len(ws))
 	for _, g := range ws {
 		st := g.ComputeStats()
@@ -745,16 +645,16 @@ type LearnResult struct {
 	AllowedPairs int `json:"allowed_pairs"`
 }
 
-func cmdLearn(ses *session) (any, error) {
-	g := ses.engine.Latest()
+func cmdLearn(e *core.Engine) (any, error) {
+	g := e.Latest()
 	if g == nil {
 		return nil, errors.New("no completed window to learn from (FLUSH first?)")
 	}
-	assign, err := ses.engine.Learn(g)
+	assign, err := e.Learn(g)
 	if err != nil {
 		return nil, err
 	}
-	_, reach := ses.engine.Baseline()
+	_, reach := e.Baseline()
 	return LearnResult{
 		Segments:     assign.NumSegments(),
 		Nodes:        len(assign),
@@ -762,8 +662,8 @@ func cmdLearn(ses *session) (any, error) {
 	}, nil
 }
 
-func cmdSegments(ses *session) (any, error) {
-	assign, _ := ses.engine.Baseline()
+func cmdSegments(e *core.Engine) (any, error) {
+	assign, _ := e.Baseline()
 	if assign == nil {
 		return nil, errors.New("no baseline: LEARN first")
 	}
@@ -784,12 +684,12 @@ type MonitorResult struct {
 	FlaggedPairs []string `json:"flagged_growth_pairs,omitempty"`
 }
 
-func cmdMonitor(ses *session) (any, error) {
-	g := ses.engine.Latest()
+func cmdMonitor(e *core.Engine) (any, error) {
+	g := e.Latest()
 	if g == nil {
 		return nil, errors.New("no completed window")
 	}
-	rep := ses.engine.Monitor(g)
+	rep := e.Monitor(g)
 	if rep == nil {
 		return nil, errors.New("no baseline: LEARN first")
 	}
@@ -822,8 +722,8 @@ type SummaryResult struct {
 	ScatterPct  float64 `json:"scatter_bytes_pct"`
 }
 
-func cmdSummary(ses *session) (any, error) {
-	g := ses.engine.Latest()
+func cmdSummary(e *core.Engine) (any, error) {
+	g := e.Latest()
 	if g == nil {
 		return nil, errors.New("no completed window")
 	}
@@ -852,8 +752,8 @@ type AnomalyResult struct {
 	Anomalous bool    `json:"anomalous"`
 }
 
-func cmdAnomalies(ses *session) []AnomalyResult {
-	scores := ses.engine.Anomalies(summarize.AnomalyOptions{})
+func cmdAnomalies(e *core.Engine) []AnomalyResult {
+	scores := e.Anomalies(summarize.AnomalyOptions{})
 	out := make([]AnomalyResult, 0, len(scores))
 	for _, sc := range scores {
 		out = append(out, AnomalyResult{

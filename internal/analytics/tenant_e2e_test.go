@@ -9,6 +9,7 @@ import (
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
 	"cloudgraph/internal/realm"
+	"cloudgraph/internal/runner"
 	"cloudgraph/internal/timeline"
 )
 
@@ -34,39 +35,27 @@ func tenantCluster(t *testing.T, seed int64, fe, be int) *cluster.Cluster {
 }
 
 // realmServer starts a multi-tenant server whose per-tenant engine and
-// plane configuration matches liveServer's single-engine config exactly:
-// the isolation equivalence below is only well-defined because both
-// sides run identical pipelines.
+// plane configuration matches liveServer's, and whose window and timeline
+// match the solo Replay reference below.
 func realmServer(t *testing.T, window time.Duration) (*Server, *realm.Manager) {
 	t.Helper()
-	m, err := realm.NewManager(realm.Config{
+	return serve(t, realm.Config{
 		Engine:   core.Config{Window: window, Shards: 4},
 		Live:     true,
 		Timeline: timeline.Config{Rollup: time.Hour},
 		// Two slots for four-plus planes: admission is contended, so the
 		// scheduler is actually in the loop for every window.
 		Workers: 2,
-	})
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	s, err := ServeRealms("127.0.0.1:0", m, nil, Options{})
-	if err != nil {
-		t.Fatalf("ServeRealms: %v", err)
-	}
-	t.Cleanup(func() {
-		s.Close()
-		m.Close()
-	})
-	return s, m
+	}, Options{})
 }
 
 // TestTenantIsolationEquivalence pins the realm isolation contract at
 // the wire level: three tenants interleaved through one multi-tenant
 // server — mixed tagged batches, plus one tenant riding the session
 // tenant untagged — must produce per-tenant QUERY results byte-identical
-// to each tenant running alone on a dedicated single-engine server, for
-// every analysis at every epoch.
+// to each tenant's stream replayed alone through runner.Plane.Replay, for
+// every analysis at every epoch. The reference shares no code with the
+// realm, the scheduler, the sharded engine or the wire path.
 func TestTenantIsolationEquivalence(t *testing.T) {
 	window := 15 * time.Minute
 	tenants := []string{"alpha", "bravo", "charlie"}
@@ -76,22 +65,14 @@ func TestTenantIsolationEquivalence(t *testing.T) {
 		"charlie": hourOf(t, tenantCluster(t, 11, 4, 1), t0),
 	}
 
-	// Solo baselines: each tenant alone on its own single-engine server.
+	// Solo references: each tenant's stream replayed offline on a plane
+	// with the same window and timeline config.
 	solo := make(map[string]map[string][]string) // tenant -> analysis -> result per epoch
 	var analyses []string
 	var epochs uint64
 	for _, name := range tenants {
-		s, plane := liveServer(t, window)
-		client, err := Dial(s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := client.Ingest(streams[name]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		plane := runner.New(runner.Config{Timeline: timeline.Config{Rollup: time.Hour}})
+		plane.Replay(streams[name], runner.ReplayOptions{Window: window})
 		analyses = plane.Runners()
 		_, newest := plane.Epochs(analyses[0])
 		if newest == 0 {
@@ -105,15 +86,13 @@ func TestTenantIsolationEquivalence(t *testing.T) {
 		solo[name] = make(map[string][]string)
 		for _, a := range analyses {
 			for ep := uint64(1); ep <= newest; ep++ {
-				res, err := client.Query(a, ep)
+				_, res, err := plane.Query(a, ep)
 				if err != nil {
-					t.Fatalf("tenant %s solo QUERY %s %d: %v", name, a, ep, err)
+					t.Fatalf("tenant %s solo query %s %d: %v", name, a, ep, err)
 				}
-				solo[name][a] = append(solo[name][a], string(res.Result))
+				solo[name][a] = append(solo[name][a], string(res))
 			}
 		}
-		client.Close()
-		s.Close()
 	}
 
 	// The combined run: one server, the three streams merged

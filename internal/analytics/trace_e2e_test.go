@@ -5,15 +5,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudgraph/internal/core"
 	"cloudgraph/internal/flowlog"
-	"cloudgraph/internal/graph"
-	"cloudgraph/internal/store"
+	"cloudgraph/internal/realm"
 	"cloudgraph/internal/trace"
 )
 
@@ -28,11 +26,11 @@ func (t tracedClientCollector) CollectTraced(recs []flowlog.Record, tcs []trace.
 
 // pipelineStages is the Figure 8 journey a sampled record's trace must
 // cover, in causal order.
-var pipelineStages = []string{"nicsim.pull", "wire.ingest", "core.shard", "core.merge", "store.append"}
+var pipelineStages = []string{"nicsim.pull", "wire.ingest", "core.shard", "core.merge", "histstore.append"}
 
 // TestTraceEndToEnd runs the whole pipeline — simulated NICs, the wire
-// protocol, the windowing engine, the store — under one tracer with
-// sampling on, and asserts a sampled record leaves exactly one span per
+// protocol, the tenant realm's windowing engine, its durable history —
+// under one tracer with sampling on, and asserts a sampled record leaves exactly one span per
 // stage, in order, under a single trace ID, retrievable from /tracez. It
 // then injects a protocol fault and asserts /flightz serves the pre-fault
 // window with the trip.
@@ -44,22 +42,11 @@ func TestTraceEndToEnd(t *testing.T) {
 		FlightEvents: 1 << 12,
 	})
 
-	w, err := store.Create(filepath.Join(t.TempDir(), "windows.cgraph"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	w.Trace(tr)
-
-	s, err := Serve("127.0.0.1:0", core.Config{
-		Window:   time.Hour,
-		Trace:    tr,
-		OnWindow: func(g *graph.Graph) { _ = w.Append(g) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := serve(t, realm.Config{
+		Engine:  core.Config{Window: time.Hour},
+		DataDir: t.TempDir(),
+		Trace:   tr,
+	}, Options{})
 
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -72,7 +59,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if _, err := c.Run(t0, 5, tracedClientCollector{cl}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Flush(); err != nil { // close the window: merge + store append
+	if _, err := cl.Flush(); err != nil { // close the window: merge + history append
 		t.Fatal(err)
 	}
 
@@ -148,7 +135,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	// The pre-fault window: pipeline spans recorded before the fault must
 	// appear in the same dump, ahead of the trip.
-	spanAt := strings.Index(dump, "store.append")
+	spanAt := strings.Index(dump, "histstore.append")
 	tripAt := strings.Index(dump, "protocol error")
 	if spanAt == -1 || spanAt > tripAt {
 		t.Fatalf("/flightz pre-fault window missing or misordered (span@%d trip@%d):\n%s",
@@ -161,11 +148,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // must trace file-driven ingest too, with journeys starting at the wire.
 func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 	tr := trace.New(trace.Options{SampleEvery: 1, Seed: 3, MaxTraces: 1 << 16})
-	s, err := Serve("127.0.0.1:0", core.Config{Window: time.Hour, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := serve(t, realm.Config{Engine: core.Config{Window: time.Hour}, Trace: tr}, Options{})
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +164,11 @@ func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wireStages := []string{"wire.ingest", "core.shard", "core.merge", "store.append"}
+	// No history under this realm, so the journey ends at the merge.
+	wireStages := []string{"wire.ingest", "core.shard", "core.merge"}
 	for _, id := range tr.Recorder().TraceIDs() {
 		spans := tr.Recorder().Trace(id)
-		if len(spans) != len(wireStages)-1 { // no store writer attached: 3 stages
+		if len(spans) != len(wireStages) {
 			continue
 		}
 		ok := true
@@ -199,7 +183,7 @@ func TestTraceLegacyIngestSamplesServerSide(t *testing.T) {
 		}
 	}
 	t.Fatalf("no server-sampled trace covers %v (retained %d traces)",
-		wireStages[:3], len(tr.Recorder().TraceIDs()))
+		wireStages, len(tr.Recorder().TraceIDs()))
 }
 
 func hexID(id uint64) string {

@@ -66,33 +66,6 @@ func TestBusFanOut(t *testing.T) {
 	}
 }
 
-// TestBusOnWindowCompat: the legacy OnWindow hook rides the bus as the
-// "hook" consumer and still observes every window by the time Flush
-// returns.
-func TestBusOnWindowCompat(t *testing.T) {
-	var mu sync.Mutex
-	var n int
-	e := NewEngine(Config{
-		Window: time.Hour,
-		OnWindow: func(g *graph.Graph) {
-			mu.Lock()
-			n++
-			mu.Unlock()
-		},
-	})
-	defer e.Close()
-	e.Ingest(busRecs(3))
-	e.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	if n != 3 {
-		t.Fatalf("OnWindow fired %d times, want 3", n)
-	}
-	if got := e.Bus().Consumers(); len(got) != 1 || got[0] != "hook" {
-		t.Fatalf("bus consumers = %v, want [hook]", got)
-	}
-}
-
 // TestBusDropOldest: a consumer slower than the stream loses the oldest
 // queued windows — never the newest — and the drops are counted; the
 // publisher is never blocked.

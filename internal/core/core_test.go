@@ -445,13 +445,20 @@ func TestMonitorBaselinePinnedAcrossTrim(t *testing.T) {
 	}
 }
 
-func TestEngineOnWindowHook(t *testing.T) {
-	var got []*graph.Graph
-	e := NewEngine(Config{Window: time.Hour, OnWindow: func(g *graph.Graph) { got = append(got, g) }})
+// TestEngineConsumerSeesEveryWindow: a consumer declared in
+// Config.Consumers receives every completed window, in epoch order, by the
+// time Flush returns.
+func TestEngineConsumerSeesEveryWindow(t *testing.T) {
+	var got []uint64
+	e := NewEngine(Config{Window: time.Hour, Consumers: []ConsumerSpec{{
+		Name: "probe",
+		Fn:   func(epoch uint64, _ *graph.Graph) { got = append(got, epoch) },
+	}}})
+	defer e.Close()
 	e.Ingest([]flowlog.Record{rec(t0, 1, 10)})
 	e.Ingest([]flowlog.Record{rec(t0.Add(time.Hour), 2, 10)})
 	e.Flush()
-	if len(got) != 2 {
-		t.Errorf("OnWindow fired %d times, want 2", len(got))
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("consumer saw epochs %v, want [1 2]", got)
 	}
 }

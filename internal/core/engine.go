@@ -43,17 +43,9 @@ type Config struct {
 	// flow key onto Shards independent windowers, each behind its own
 	// lock, so concurrent Ingest calls touching different flows proceed
 	// in parallel. Completed windows merge across shards before they are
-	// collapsed, stored and handed to OnWindow, so window semantics are
+	// collapsed, stored and published on the bus, so window semantics are
 	// identical at any width. Default 1.
 	Shards int
-	// OnWindow, when set, is called with each completed (and collapsed)
-	// window. It is a compatibility shim over the consumer bus: the hook
-	// is auto-registered as the bus consumer named "hook", so it runs on
-	// a dedicated goroutine in window order and is drained by Flush. Like
-	// every consumer it may use the read APIs (Windows, Latest, Monitor,
-	// Summary) but must not call Ingest or Flush. New code should declare
-	// Consumers instead.
-	OnWindow func(*graph.Graph)
 	// Consumers are the fan-out bus subscribers receiving each completed
 	// window together with its epoch. See WindowConsumer for the
 	// contract and Bus for the slow-consumer policy. More can be added
@@ -63,8 +55,8 @@ type Config struct {
 	// drops the oldest undelivered window (default 64).
 	ConsumerBuffer int
 	// Telemetry, when set, receives the engine's metrics: per-shard
-	// ingest counts, window merge latency, OnWindow hook duration, open
-	// and pending-merge window gauges, and the shared ingest counters.
+	// ingest counts, window merge latency, open and pending-merge window
+	// gauges, and the shared ingest counters.
 	// Handles are preallocated at construction and lock-free on the hot
 	// path; nil disables instrumentation for the cost of a branch.
 	Telemetry *telemetry.Registry
@@ -222,14 +214,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e.instrument(cfg.Telemetry)
 	e.bus = newBus(cfg.ConsumerBuffer, cfg.Telemetry, cfg.Trace)
-	if cfg.OnWindow != nil {
-		hook := cfg.OnWindow
-		e.bus.Subscribe(ConsumerSpec{Name: "hook", Fn: func(_ uint64, g *graph.Graph) {
-			sp := telemetry.StartSpan(e.tel.hook)
-			hook(g)
-			sp.End()
-		}})
-	}
 	for _, spec := range cfg.Consumers {
 		e.bus.Subscribe(spec)
 	}
@@ -427,7 +411,7 @@ func (e *Engine) advance(maxStart time.Time) {
 		return
 	}
 	e.maxStartNS.Store(ns)
-	//lint:allow lockscope closeMu serializes window closes so OnWindow fires in window order; it is never taken by the read APIs a hook may call, only by Ingest/Flush, which a hook must not reenter (documented on Config.OnWindow)
+	//lint:allow lockscope closeMu serializes window closes so bus consumers see windows in epoch order; it is never taken by the read APIs a consumer may call, only by Ingest/Flush, which a consumer must not reenter (documented on WindowConsumer)
 	e.closeShards(maxStart, false)
 }
 

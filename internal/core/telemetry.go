@@ -20,8 +20,6 @@ type engineMetrics struct {
 	// merge times closeShards: closing windows across shards plus the
 	// cross-shard partial merge.
 	merge *telemetry.Histogram
-	// hook times the OnWindow callback (store appends ride on it).
-	hook *telemetry.Histogram
 	// windows counts completed (merged, collapsed) windows.
 	windows *telemetry.Counter
 	// flushLag samples how many whole windows each merge pass emitted: 1
@@ -44,9 +42,6 @@ func (e *Engine) instrument(reg *telemetry.Registry) {
 	}
 	e.tel.merge = reg.Histogram("cloudgraph_core_window_merge_seconds",
 		"time closing windows across shards and merging their partial graphs",
-		telemetry.DurBuckets)
-	e.tel.hook = reg.Histogram("cloudgraph_core_onwindow_seconds",
-		"time spent in the OnWindow hook per completed window",
 		telemetry.DurBuckets)
 	e.tel.windows = reg.Counter("cloudgraph_core_windows_completed_total",
 		"completed window graphs emitted by the engine")

@@ -12,13 +12,14 @@ import (
 
 func TestEngineTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var hooked int
+	var consumed int
 	e := NewEngine(Config{
 		Window:    time.Hour,
 		Shards:    4,
 		Telemetry: reg,
-		OnWindow:  func(*graph.Graph) { hooked++ },
+		Consumers: []ConsumerSpec{{Name: "probe", Fn: func(uint64, *graph.Graph) { consumed++ }}},
 	})
+	defer e.Close()
 	recs := engineRecords(t, 3)
 	for i := 0; i < len(recs); i += 97 {
 		end := i + 97
@@ -43,11 +44,8 @@ func TestEngineTelemetry(t *testing.T) {
 	if got := e.tel.windows.Value(); got != 3 {
 		t.Errorf("windows counter = %d, want 3", got)
 	}
-	if hooked != 3 {
-		t.Fatalf("OnWindow fired %d times, want 3", hooked)
-	}
-	if got := e.tel.hook.Count(); got != 3 {
-		t.Errorf("hook histogram count = %d, want 3", got)
+	if consumed != 3 {
+		t.Fatalf("consumer saw %d windows, want 3", consumed)
 	}
 	if e.tel.merge.Count() == 0 {
 		t.Error("merge histogram recorded nothing")

@@ -1,6 +1,5 @@
 // Package histstore is the durable, epoch-indexed graph history store:
-// the on-disk successor to the single append-only file of internal/store
-// and the crash-recoverable backing of the in-memory timeline. The paper
+// the crash-recoverable backing of the in-memory timeline. The paper
 // motivates it directly — operators need "up-to-date views while also
 // being able to do historical analysis such as 'what changed?' or 'what
 // happened during that (past) event?'" (§1) — and at cloud scale that
@@ -8,10 +7,9 @@
 // in-memory retention.
 //
 // Layout on disk: a directory of segment files plus one MANIFEST. Each
-// segment holds length-prefixed, CRC-framed window records (the frozen-CSR
-// record codec shared with internal/store), and sealed segments carry a
-// sparse epoch index block so point lookups touch one frame chain, not
-// the file. A background compactor rolls minute-window segments whose
+// segment holds length-prefixed, CRC-framed window records (graph bytes in
+// the codec of codec.go), and sealed segments carry a sparse epoch index
+// block so point lookups touch one frame chain, not the file. A background compactor rolls minute-window segments whose
 // data has aged past the retention horizon into hour roll-up segments via
 // graph.Merge — mirroring the timeline's bucket semantics — and retires
 // the originals under an atomic manifest swap. Opening the store replays
@@ -27,7 +25,6 @@ import (
 	"time"
 
 	"cloudgraph/internal/graph"
-	"cloudgraph/internal/store"
 )
 
 // ErrCorrupt is returned for structurally invalid segment data that is not
@@ -103,7 +100,7 @@ type record struct {
 //	u32 bodyLen
 //	u32 crc32c(body)
 //	body: u64 epochLo, u64 epochHi, i64 startUnix, i64 endUnix,
-//	      graph bytes (store.EncodeGraph — the frozen-CSR window codec)
+//	      graph bytes (EncodeGraph — the window graph codec)
 //
 // The times duplicate the graph's Start/End so index scans and time
 // lookups decode a 32-byte prefix instead of the whole graph.
@@ -113,7 +110,7 @@ func encodeRecord(dst []byte, epochLo, epochHi uint64, g *graph.Graph) []byte {
 	body = binary.LittleEndian.AppendUint64(body, epochHi)
 	body = binary.LittleEndian.AppendUint64(body, uint64(g.Start.Unix()))
 	body = binary.LittleEndian.AppendUint64(body, uint64(g.End.Unix()))
-	body = append(body, store.EncodeGraph(g)...)
+	body = append(body, EncodeGraph(g)...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
 	return append(dst, body...)
@@ -141,7 +138,7 @@ func decodeRecord(body []byte) (record, error) {
 	if err != nil {
 		return record{}, err
 	}
-	g, err := store.DecodeGraph(gb)
+	g, err := DecodeGraph(gb)
 	if err != nil {
 		return record{}, ErrCorrupt
 	}

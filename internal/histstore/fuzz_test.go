@@ -1,6 +1,9 @@
 package histstore
 
 import (
+	"encoding/binary"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,6 +93,36 @@ func FuzzRecoverTail(f *testing.F) {
 		g, err := s.Get(next)
 		if err != nil || g.TotalTraffic().Bytes == 0 {
 			t.Fatalf("Get(%d) after recovery: %v", next, err)
+		}
+	})
+}
+
+// FuzzDecodeGraph is the codec's contract on arbitrary bytes, the graph
+// part of a CRC-valid record that recovery would hand it: no panic, no
+// allocation beyond what the input can describe, ErrCorrupt on any
+// rejection, and an accepted graph that re-encodes to decodable bytes.
+func FuzzDecodeGraph(f *testing.F) {
+	f.Add(EncodeGraph(randomGraph(rand.New(rand.NewSource(1)), t0)))
+	f.Add(EncodeGraph(win(0, 100)))
+	f.Add([]byte{})
+	// A 21-byte record claiming 2^31-1 nodes: must be rejected before the
+	// node table is allocated.
+	huge := make([]byte, 17, 21)
+	f.Add(binary.LittleEndian.AppendUint32(huge, 1<<31-1))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		g, err := DecodeGraph(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		if g.NumNodes() > len(b)/minNodeSize {
+			t.Fatalf("%d nodes from %d bytes", g.NumNodes(), len(b))
+		}
+		if _, err := DecodeGraph(EncodeGraph(g)); err != nil {
+			t.Fatalf("re-encoded graph does not decode: %v", err)
 		}
 	})
 }

@@ -67,12 +67,10 @@ type Config struct {
 	MaxTenants int
 	// Weights seeds per-tenant scheduler weights (default 1 each).
 	Weights map[string]int64
-	// OnWindow, when set, observes every tenant's sealed windows on that
-	// tenant's bus (e.g. the legacy -store hook, filtered by tenant).
-	OnWindow func(tenant string, g *graph.Graph)
 	// Telemetry and Trace are shared across realms; per-tenant series
 	// carry a tenant label (see cogs.go), engine-internal series
-	// aggregate across tenants.
+	// aggregate across tenants. Trace also reaches every tenant's
+	// history store (histstore.append / histstore.compact spans).
 	Telemetry *telemetry.Registry
 	Trace     *trace.Tracer
 }
@@ -232,10 +230,6 @@ func (m *Manager) create(name string) (*Realm, error) {
 	ecfg.Watermarks = r.wm
 	ecfg.Consumers = nil
 	ecfg.StartEpoch = 0
-	if m.cfg.OnWindow != nil {
-		onWindow := m.cfg.OnWindow
-		ecfg.OnWindow = func(g *graph.Graph) { onWindow(name, g) }
-	}
 
 	var consumers []core.ConsumerSpec
 	if m.cfg.Live {
@@ -253,6 +247,7 @@ func (m *Manager) create(name string) (*Realm, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tenant history: %w", err)
 		}
+		hs.Trace(m.cfg.Trace)
 		r.hist = hs
 		if r.plane != nil {
 			if err := hs.Replay(func(ep uint64, g *graph.Graph) error {

@@ -23,7 +23,7 @@ func TestTracezHandler(t *testing.T) {
 	ctx := Context{TraceID: 0xbeef, SpanID: 1}
 	start := time.Unix(1700000000, 0).UTC()
 	rec.Record(ctx, "nicsim.pull", start, time.Millisecond, "records=3")
-	rec.Record(ctx, "store.append", start.Add(5*time.Millisecond), time.Millisecond, "")
+	rec.Record(ctx, "histstore.append", start.Add(5*time.Millisecond), time.Millisecond, "")
 	h := TracezHandler(rec)
 
 	if w := tracezReq(t, h, http.MethodPost, "/tracez"); w.Code != http.StatusMethodNotAllowed {
@@ -40,7 +40,7 @@ func TestTracezHandler(t *testing.T) {
 		t.Fatalf("list: Content-Type %q", ct)
 	}
 	if body := w.Body.String(); !strings.Contains(body, "000000000000beef") ||
-		!strings.Contains(body, "nicsim.pull -> store.append") {
+		!strings.Contains(body, "nicsim.pull -> histstore.append") {
 		t.Fatalf("list body:\n%s", body)
 	}
 
